@@ -4,11 +4,11 @@
 // delays — see internal/faultinject) with the machine invariant
 // catalogue auditing each run (internal/invariant). Multicore cells run
 // under multicore plans — shootdown storms striking random CPU subsets
-// at lockstep round boundaries — with the per-CPU smp.memo and
-// shootdown.ipi rules auditing every processor. Because every injected
-// fault is semantically invisible, any invariant violation is a real
-// bug; the tool prints the plan seed that provoked it, and the same
-// seed reproduces the identical schedule.
+// at lockstep round boundaries — with the per-CPU smp.memo,
+// shootdown.ipi and tlb.overlap rules auditing every processor.
+// Because every injected fault is semantically invisible, any invariant
+// violation is a real bug; the tool prints the plan seed that provoked
+// it, and the same seed reproduces the identical schedule.
 //
 //	mtlbchaos                    # every registered cell × 3 plans
 //	mtlbchaos -cells 20 -plans 3 # bounded run for CI

@@ -239,8 +239,7 @@ func (c *CPU) ifetch() {
 		c.noteMiss(res)
 		c.Charge(res.HandlerCycles, TLBMiss)
 		c.Charge(res.FaultCycles+res.PromoteCycles, KernelTime)
-		c.TLB.Insert(res.Entry)
-		e = c.TLB.Probe(uint64(va))
+		e = c.TLB.Install(res.Entry)
 	}
 	c.ITLB.Refill(tlb.Entry{Class: e.Class, Tag: e.Tag, Target: e.Target})
 }
@@ -257,6 +256,9 @@ func (c *CPU) translate(va arch.VAddr, kind arch.AccessKind) (arch.PAddr, *tlb.E
 
 // translateMissed runs the software miss handler for va, whose TLB
 // lookup — already performed and counted by the caller — came up empty.
+// The entry Install returns is the one covering va: the lookup just
+// missed and HandleTLBMiss inserts nothing into the CPU TLB, so the new
+// mapping is the only one that covers va (ifetch relies on the same).
 func (c *CPU) translateMissed(va arch.VAddr, kind arch.AccessKind) (arch.PAddr, *tlb.Entry) {
 	res, err := c.VM.HandleTLBMiss(va, kind)
 	if err != nil {
@@ -265,8 +267,7 @@ func (c *CPU) translateMissed(va arch.VAddr, kind arch.AccessKind) (arch.PAddr, 
 	c.noteMiss(res)
 	c.Charge(res.HandlerCycles, TLBMiss)
 	c.Charge(res.FaultCycles+res.PromoteCycles, KernelTime)
-	c.TLB.Insert(res.Entry)
-	return arch.PAddr(res.Entry.Translate(uint64(va))), c.TLB.Probe(uint64(va))
+	return arch.PAddr(res.Entry.Translate(uint64(va))), c.TLB.Install(res.Entry)
 }
 
 // access runs the full timed path for one data reference and returns

@@ -3,7 +3,7 @@
 // acceleration — it models no hardware). A reference that stays within a
 // memoized 4 KB page and hits the data cache charges the exact cycles
 // and bumps the exact counters the full path would, without re-running
-// the TLB associative scan, the cache victim logic, the bus/MMC model,
+// the TLB lookup, the cache victim logic, the bus/MMC model,
 // or the functional shadow-table DRAM walk.
 //
 // Correctness rests on three live checks per use (DESIGN.md §10):

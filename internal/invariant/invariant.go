@@ -23,6 +23,7 @@ package invariant
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 
 	"shadowtlb/internal/arch"
@@ -54,6 +55,7 @@ func Check(s *sim.System) []Violation {
 	vs = append(vs, auditShadowTable(s.VM, s.Frames, s.Cfg.DRAMBytes)...)
 	vs = append(vs, auditTranslator(s.Translator)...)
 	vs = append(vs, auditTLBBacked("tlb.backed", s.CPUTLB, s.CPU.VM, s.Frames)...)
+	vs = append(vs, auditTLBOverlap(s.CPUTLB)...)
 	vs = append(vs, checkPTableInternal(s)...)
 	vs = append(vs, auditMemo("cpu.memo", s.CPU)...)
 	return vs
@@ -72,6 +74,7 @@ func Check(s *sim.System) []Violation {
 //     scheduled page table can produce. A remap rewrites the PTE class
 //     and target, so an entry surviving a completed IPI turns up here
 //     as unbacked or mistargeted.
+//   - "tlb.overlap": as on the uniprocessor, per CPU.
 func CheckSMP(s *sim.SMPSystem) []Violation {
 	var vs []Violation
 	vs = append(vs, auditShadowPartition(s.VMs[0], s.Cfg.ShadowSpace)...)
@@ -86,6 +89,10 @@ func CheckSMP(s *sim.SMPSystem) []Violation {
 	for i, c := range s.CPUs {
 		pre := fmt.Sprintf("cpu %d: ", i)
 		for _, v := range auditTLBBacked("shootdown.ipi", c.TLB, c.VM, s.Frames) {
+			v.Detail = pre + v.Detail
+			vs = append(vs, v)
+		}
+		for _, v := range auditTLBOverlap(c.TLB) {
 			v.Detail = pre + v.Detail
 			vs = append(vs, v)
 		}
@@ -243,6 +250,32 @@ func auditTLBBacked(rule string, t *tlb.TLB, v *vm.VM, frames *mem.FrameAlloc) [
 				fmt.Sprintf("superpage TLB entry %#x (%v) targets %v outside shadow space", e.Tag, e.Class, target)})
 		}
 	})
+	return vs
+}
+
+// auditTLBOverlap audits that no two valid entries of a TLB map
+// overlapping ranges. The VM purges a range before installing a larger
+// class over it, so at most one entry ever covers an address; the
+// indexed one-set TLB relies on that, because it returns the covering
+// entry of the largest resident class where a scan would return the
+// covering entry in the lowest slot.
+func auditTLBOverlap(t *tlb.TLB) []Violation {
+	var es []tlb.Entry
+	t.VisitValid(func(e tlb.Entry) { es = append(es, e) })
+	sort.Slice(es, func(i, j int) bool { return es[i].Tag < es[j].Tag })
+	// In start order, an entry overlaps an earlier one exactly when it
+	// starts before the furthest end seen so far.
+	var vs []Violation
+	var far tlb.Entry
+	for i, e := range es {
+		if i > 0 && e.Tag < far.Tag+far.Class.Bytes() {
+			vs = append(vs, Violation{"tlb.overlap",
+				fmt.Sprintf("TLB entry %#x (%v) overlaps entry %#x (%v)", e.Tag, e.Class, far.Tag, far.Class)})
+		}
+		if i == 0 || e.Tag+e.Class.Bytes() > far.Tag+far.Class.Bytes() {
+			far = e
+		}
+	}
 	return vs
 }
 

@@ -98,6 +98,16 @@ func TestCorruptionsDetected(t *testing.T) {
 		s.VM.STable.Set(spa, ent)
 		expectRule(t, s, "translator.coherent")
 	})
+	t.Run("tlb.overlap", func(t *testing.T) {
+		s := fresh()
+		// A 4 KB entry, then a 64 KB entry over the same 64 KB range
+		// whose tag is a different 4 KB page: Insert replaces only an
+		// entry covering the new tag, so both stay resident.
+		const base = 0x7f00_0000
+		s.CPUTLB.Insert(tlb.Entry{Class: arch.Page4K, Tag: base + 0x3000, Target: 0x1000})
+		s.CPUTLB.Insert(tlb.Entry{Class: arch.Page64K, Tag: base, Target: 0x10_0000})
+		expectRule(t, s, "tlb.overlap")
+	})
 }
 
 // smpCell returns a registered multicore cell with an MTLB and more

@@ -37,7 +37,7 @@ func TestSetIndexEquivalence(t *testing.T) {
 
 // TestFastHitMatchesLookup verifies FastHit replays exactly the
 // bookkeeping of a Lookup hit: stats and NRU state evolve identically
-// whether hits go through the associative scan or the fast path.
+// whether hits go through the lookup or the fast path.
 func TestFastHitMatchesLookup(t *testing.T) {
 	mk := func() *TLB {
 		tl := New(FullyAssociative(4))

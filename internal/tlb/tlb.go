@@ -11,9 +11,13 @@
 // another. The CPU instance maps virtual to "physical" (possibly shadow)
 // addresses; the MTLB instance maps shadow physical to real physical.
 //
-// The implementation is tuned for simulation throughput: hits on the most
-// recently used entry short-circuit the associative scan, and NRU aging
-// is maintained with per-set counters so the common case is O(1).
+// The implementation is tuned for simulation throughput. A repeat hit on
+// the most recently used entry is answered without any search. Otherwise
+// a one-set (fully associative) TLB finds the covering entry through an
+// index keyed by (page-size class, class-aligned tag), probing only the
+// classes currently resident; a multi-set TLB picks the set by page
+// number and scans its few ways. NRU aging is maintained with per-set
+// counters, so the common case is O(1) either way.
 package tlb
 
 import (
@@ -90,6 +94,14 @@ type set struct {
 	entries []Entry
 	valid   int // valid entries
 	nruSet  int // valid entries with the NRU bit set
+
+	// victimFrom bounds the NRU victim search from below: every valid
+	// entry before it is wired or has its NRU bit set. Between agings
+	// NRU bits are only ever set and a refilled slot starts referenced,
+	// so the bound only needs resetting when age clears bits, and a
+	// victim search resumes where the last one stopped instead of
+	// rescanning the referenced prefix.
+	victimFrom int
 }
 
 // TLB is a set-associative translation cache with NRU replacement.
@@ -104,6 +116,10 @@ type TLB struct {
 	// indexing falls back to modulo.
 	setShift uint
 	setMask  uint64
+
+	// idx finds entries in a one-set TLB; nil when there are several
+	// sets, where the set index already narrows a search to Ways entries.
+	idx *index
 
 	// gen counts mapping mutations (Insert, Purge, PurgeAll, PurgeRange).
 	// External memos of TLB contents — the CPU's fast-path translation
@@ -132,6 +148,9 @@ func New(cfg Config) *TLB {
 	if numSets&(numSets-1) == 0 {
 		t.setMask = uint64(numSets - 1)
 	}
+	if numSets == 1 {
+		t.idx = newIndex(cfg.Entries)
+	}
 	return t
 }
 
@@ -144,10 +163,10 @@ func (t *TLB) Ways() int { return t.cfg.Ways }
 // Sets returns the number of sets.
 func (t *TLB) Sets() int { return len(t.sets) }
 
-// setFor returns the set an address maps to. Fully associative TLBs
-// always use set 0; multi-set TLBs index by page number with a
-// precomputed shift and, for power-of-two set counts, a mask instead of
-// a modulo (TestSetIndexEquivalence pins the two forms equal).
+// setFor returns the set an address maps to. One-set TLBs always use set
+// 0; multi-set TLBs index by page number with a precomputed shift and,
+// for power-of-two set counts, a mask instead of a modulo
+// (TestSetIndexEquivalence pins the two forms equal).
 func (t *TLB) setFor(addr uint64) *set {
 	if len(t.sets) == 1 {
 		return &t.sets[0]
@@ -171,7 +190,7 @@ func (t *TLB) Gen() uint64 { return t.gen }
 
 // FastHit replays the bookkeeping of a Lookup hit — the hit counter and
 // NRU referenced-bit maintenance — on an entry the caller already knows
-// covers the address, skipping the associative scan. e must be a valid
+// covers the address, skipping the search for it. e must be a valid
 // entry of t; the CPU's fast path guarantees this by discarding its memo
 // whenever Gen advances.
 func (t *TLB) FastHit(e *Entry) {
@@ -191,14 +210,12 @@ func (t *TLB) Lookup(addr uint64) *Entry {
 		return t.lastHit
 	}
 	s := t.setFor(addr)
-	for i := range s.entries {
+	if i := t.slotOf(s, addr); i >= 0 {
 		e := &s.entries[i]
-		if e.covers(addr) {
-			t.Stats.Hit()
-			t.touch(s, e)
-			t.lastHit = e
-			return e
-		}
+		t.Stats.Hit()
+		t.touch(s, e)
+		t.lastHit = e
+		return e
 	}
 	t.Stats.Miss()
 	return nil
@@ -208,12 +225,25 @@ func (t *TLB) Lookup(addr uint64) *Entry {
 // tests and by the OS model to inspect TLB contents non-destructively.
 func (t *TLB) Probe(addr uint64) *Entry {
 	s := t.setFor(addr)
-	for i := range s.entries {
-		if s.entries[i].covers(addr) {
-			return &s.entries[i]
-		}
+	if i := t.slotOf(s, addr); i >= 0 {
+		return &s.entries[i]
 	}
 	return nil
+}
+
+// slotOf returns the index in s, addr's set, of the valid entry covering
+// addr, or -1. A one-set TLB asks its index; a multi-set TLB scans the
+// set's ways.
+func (t *TLB) slotOf(s *set, addr uint64) int {
+	if t.idx != nil {
+		return t.idx.find(addr)
+	}
+	for i := range s.entries {
+		if s.entries[i].covers(addr) {
+			return i
+		}
+	}
+	return -1
 }
 
 // touch sets the NRU bit, ageing the set (clearing every other bit) when
@@ -241,6 +271,7 @@ func (t *TLB) age(s *set, keep *Entry) {
 	if keep == nil || !keep.Valid {
 		s.nruSet = 0
 	}
+	s.victimFrom = 0
 }
 
 // Insert installs a mapping, evicting an NRU victim if the set is full.
@@ -249,6 +280,23 @@ func (t *TLB) age(s *set, keep *Entry) {
 // overwritten in place, which models TLB designs that "automatically
 // discard pre-existing mappings for the same virtual range" (paper §2.3).
 func (t *TLB) Insert(e Entry) Entry {
+	_, old := t.insert(e)
+	return old
+}
+
+// Install is Insert for callers that go on to use the new mapping: it
+// returns the installed entry instead of the evicted one.
+func (t *TLB) Install(e Entry) *Entry {
+	installed, _ := t.insert(e)
+	return installed
+}
+
+// insert installs e and returns both the slot now holding it and the
+// entry it displaced. The slot is the one holding a mapping that covers
+// e.Tag, else the lowest-index free one, else the lowest-index non-wired
+// entry with a clear NRU bit, after ageing the set if every such bit is
+// set.
+func (t *TLB) insert(e Entry) (*Entry, Entry) {
 	if t.cfg.Uniform && e.Class != t.cfg.UniformClass {
 		panic(fmt.Sprintf("tlb: inserting %v entry into uniform %v TLB", e.Class, t.cfg.UniformClass))
 	}
@@ -256,63 +304,70 @@ func (t *TLB) Insert(e Entry) Entry {
 		panic(fmt.Sprintf("tlb: unaligned %v mapping %#x -> %#x", e.Class, e.Tag, e.Target))
 	}
 	e.Valid = true
-	e.nru = false // installEntry's touch sets it
+	e.nru = false // the touch below sets it
 	e.mask = e.Class.Mask()
 	t.lastHit = nil
 	t.gen++
 	s := t.setFor(e.Tag)
 
-	// Replace an existing mapping for the same range.
-	for i := range s.entries {
-		if s.entries[i].covers(e.Tag) {
-			old := s.entries[i]
-			if old.nru {
-				s.nruSet--
-			}
-			s.entries[i] = e
-			t.touch(s, &s.entries[i])
-			return old
+	i := t.slotOf(s, e.Tag)
+	switch {
+	case i >= 0: // replace the existing mapping for the same range
+	case s.valid < len(s.entries):
+		i = freeSlot(s)
+		s.valid++
+	default:
+		i = t.victim(s)
+	}
+	old := s.entries[i]
+	if old.Valid {
+		if old.nru {
+			s.nruSet--
+		}
+		if t.idx != nil {
+			t.idx.remove(&old)
 		}
 	}
-	// Free slot.
-	for i := range s.entries {
-		if !s.entries[i].Valid {
-			s.entries[i] = e
-			s.valid++
-			t.touch(s, &s.entries[i])
-			return Entry{}
-		}
+	s.entries[i] = e
+	if t.idx != nil {
+		t.idx.add(&e, i)
 	}
-	// NRU victim: first non-wired entry with a clear referenced bit;
-	// if none, age the set and retry.
-	victim := -1
-	for pass := 0; pass < 2 && victim < 0; pass++ {
-		for i := range s.entries {
+	t.touch(s, &s.entries[i])
+	return &s.entries[i], old
+}
+
+// freeSlot returns the index of the first invalid entry of a set that
+// is not full.
+func freeSlot(s *set) int {
+	i := 0
+	for s.entries[i].Valid {
+		i++
+	}
+	return i
+}
+
+// victim picks the entry a full set evicts: the first non-wired entry
+// with a clear referenced bit; if none, it ages the set and retries.
+func (t *TLB) victim(s *set) int {
+	for pass := 0; pass < 2; pass++ {
+		for i := s.victimFrom; i < len(s.entries); i++ {
 			if !s.entries[i].Wired && !s.entries[i].nru {
-				victim = i
-				break
+				s.victimFrom = i
+				return i
 			}
 		}
-		if victim < 0 {
-			t.age(s, nil)
-		}
+		t.age(s, nil)
 	}
-	if victim < 0 {
-		panic("tlb: set entirely wired; cannot insert")
-	}
-	old := s.entries[victim]
-	if old.nru {
-		s.nruSet--
-	}
-	s.entries[victim] = e
-	t.touch(s, &s.entries[victim])
-	return old
+	panic("tlb: set entirely wired; cannot insert")
 }
 
 // purgeAt invalidates entry i of set s, maintaining counters.
 func (t *TLB) purgeAt(s *set, i int) {
 	if s.entries[i].nru {
 		s.nruSet--
+	}
+	if t.idx != nil {
+		t.idx.remove(&s.entries[i])
 	}
 	s.entries[i] = Entry{}
 	s.valid--
@@ -324,11 +379,9 @@ func (t *TLB) purgeAt(s *set, i int) {
 // found (the paper's per-mapping TLB shootdown).
 func (t *TLB) Purge(addr uint64) bool {
 	s := t.setFor(addr)
-	for i := range s.entries {
-		if s.entries[i].covers(addr) {
-			t.purgeAt(s, i)
-			return true
-		}
+	if i := t.slotOf(s, addr); i >= 0 {
+		t.purgeAt(s, i)
+		return true
 	}
 	return false
 }
