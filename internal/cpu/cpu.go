@@ -17,6 +17,7 @@
 package cpu
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"shadowtlb/internal/arch"
@@ -102,15 +103,12 @@ type CPU struct {
 	sliceUsed   stats.Cycles
 	inKernel    bool
 
-	// memo is the fast-path translation memo (fastpath.go).
-	memo [memoSlots]memoEntry
-
-	// rmemo is the batched replay loop's page memo (replay.go),
-	// allocated on first use. rDrained is the cache eviction generation
-	// the memo's line bitmaps are synchronized to; rEpoch counts the
+	// memo is the page memo of the fast path and the replay loop
+	// (fastpath.go). rDrained is the cache eviction generation the
+	// slots' line bitmaps are synchronized to; rEpoch counts the
 	// wholesale invalidations forced when the eviction log overflowed
 	// between drains (slots prove bitmap freshness by matching it).
-	rmemo    []replaySlot
+	memo     [memoSlots]memoSlot
 	rDrained uint64
 	rEpoch   uint64
 
@@ -271,8 +269,9 @@ func (c *CPU) translateMissed(va arch.VAddr, kind arch.AccessKind) (arch.PAddr, 
 }
 
 // access runs the full timed path for one data reference and returns
-// the real physical address for the functional access.
-func (c *CPU) access(va arch.VAddr, size int, kind arch.AccessKind) arch.PAddr {
+// the real physical address for the functional access, with the memo
+// slot now holding the page (nil with the fast path off).
+func (c *CPU) access(va arch.VAddr, size int, kind arch.AccessKind) (arch.PAddr, *memoSlot) {
 	if size <= 0 || size > 8 {
 		panic(fmt.Sprintf("cpu: access size %d", size))
 	}
@@ -283,14 +282,14 @@ func (c *CPU) access(va arch.VAddr, size int, kind arch.AccessKind) arch.PAddr {
 	c.instr(1)
 
 	// Fast path: the memo is consulted after instr(1), whose ifetch can
-	// insert TLB entries and run kernel code; the generation checks
-	// inside fastAccess observe any such mutation.
+	// insert TLB entries and run kernel code; the stamp and generation
+	// checks inside fastAccess observe any such mutation.
 	if !c.cfg.NoFastPath {
-		if real, ok := c.fastAccess(va, kind); ok {
+		if real, m := c.fastAccess(va, kind); m != nil {
 			if check.Enabled && c.OnAccessCheck != nil {
 				c.OnAccessCheck(va, real)
 			}
-			return real
+			return real, m
 		}
 	}
 
@@ -302,7 +301,7 @@ func (c *CPU) access(va arch.VAddr, size int, kind arch.AccessKind) arch.PAddr {
 // lookup or miss handling counted) and the first attempt reuses (pa, e);
 // shadow-fault retries always re-translate, as a retried instruction
 // would.
-func (c *CPU) accessSlow(va arch.VAddr, kind arch.AccessKind, pa arch.PAddr, e *tlb.Entry, havePA bool) arch.PAddr {
+func (c *CPU) accessSlow(va arch.VAddr, kind arch.AccessKind, pa arch.PAddr, e *tlb.Entry, havePA bool) (arch.PAddr, *memoSlot) {
 	for attempt := 0; ; attempt++ {
 		if !havePA || attempt > 0 {
 			pa, e = c.translate(va, kind)
@@ -333,11 +332,11 @@ func (c *CPU) accessSlow(va arch.VAddr, kind arch.AccessKind, pa arch.PAddr, e *
 			if err != nil {
 				panic(fmt.Sprintf("cpu: functional translate of %v: %v", pa, err))
 			}
-			c.memoize(va, e, kind, pa, real)
+			m := c.memoize(va, e, kind, pa, real)
 			if check.Enabled && c.OnAccessCheck != nil {
 				c.OnAccessCheck(va, real)
 			}
-			return real
+			return real, m
 		}
 		if attempt >= 2 {
 			panic(fmt.Sprintf("cpu: access at %v keeps faulting", va))
@@ -349,18 +348,16 @@ func (c *CPU) accessSlow(va arch.VAddr, kind arch.AccessKind, pa arch.PAddr, e *
 // bytes) and returns the little-endian value read.
 func (c *CPU) Load(va arch.VAddr, size int) uint64 {
 	c.Loads++
-	real := c.access(va, size, arch.Read)
+	b := c.data(c.access(va, size, arch.Read))
 	switch size {
 	case 8:
-		return c.VM.Dram.ReadU64(real)
+		return binary.LittleEndian.Uint64(b)
 	case 4:
-		return uint64(c.VM.Dram.ReadU32(real))
+		return uint64(binary.LittleEndian.Uint32(b))
 	default:
-		var buf [8]byte
-		c.VM.Dram.Read(real, buf[:size])
 		v := uint64(0)
 		for i := size - 1; i >= 0; i-- {
-			v = v<<8 | uint64(buf[i])
+			v = v<<8 | uint64(b[i])
 		}
 		return v
 	}
@@ -369,18 +366,16 @@ func (c *CPU) Load(va arch.VAddr, size int) uint64 {
 // Store issues one store instruction of the given size.
 func (c *CPU) Store(va arch.VAddr, size int, val uint64) {
 	c.Stores++
-	real := c.access(va, size, arch.Write)
+	b := c.data(c.access(va, size, arch.Write))
 	switch size {
 	case 8:
-		c.VM.Dram.WriteU64(real, val)
+		binary.LittleEndian.PutUint64(b, val)
 	case 4:
-		c.VM.Dram.WriteU32(real, uint32(val))
+		binary.LittleEndian.PutUint32(b, uint32(val))
 	default:
-		var buf [8]byte
 		for i := 0; i < size; i++ {
-			buf[i] = byte(val >> (8 * i))
+			b[i] = byte(val >> (8 * i))
 		}
-		c.VM.Dram.Write(real, buf[:size])
 	}
 }
 

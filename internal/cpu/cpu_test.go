@@ -16,7 +16,7 @@ import (
 )
 
 // testCPU assembles a machine with a small TLB for eviction tests.
-func testCPU(t *testing.T, withMTLB bool, tlbEntries int) *CPU {
+func testCPU(t testing.TB, withMTLB bool, tlbEntries int) *CPU {
 	t.Helper()
 	dram := mem.NewDRAM(64 * arch.MB)
 	frames := mem.NewFrameAlloc(2*arch.MB/arch.PageSize, (64*arch.MB-2*arch.MB)/arch.PageSize, mem.Scatter)

@@ -11,9 +11,9 @@
 //     instruction cycles, TLB/cache hit counts and load/store counts in
 //     locals, flushed to the shared counters before anything that could
 //     observe them;
-//   - page changes consult a replay-scale page memo (replaySlots pages,
-//     against fastpath.go's eight) and then the TLB itself, so only a
-//     real TLB or cache miss pays the full access path;
+//   - page changes consult the page memo the per-reference fast path
+//     also reads and writes (fastpath.go) and then the TLB itself, so
+//     only a real TLB or cache miss pays the full access path;
 //   - the flush points are exactly the places per-reference execution
 //     would interleave other work: an instruction-fetch boundary (every
 //     IFetchPeriod instructions), a reference that needs the full access
@@ -31,9 +31,8 @@
 //     entry's touch aging the set) only happens inside an escape, which
 //     ends the deferred run;
 //   - TLB.Lookup on a hit is counter-equivalent to TLB.FastHit (one
-//     Stats.Hit plus the touch; lastHit is not a counter), so which
-//     memo — the fast-path memo, the replay memo, or none — holds a
-//     page never changes the counter stream;
+//     Stats.Hit plus the touch; lastHit is not a counter), so whether
+//     the memo holds a page never changes the counter stream;
 //   - Cache.FastHit/FastRepeatHit mutate nothing but hit counters, and
 //     Cache.Access on the hits FastHit accepts does exactly the same
 //     (replacement is round-robin, not recency-based, and write
@@ -46,6 +45,8 @@
 package cpu
 
 import (
+	"fmt"
+
 	"shadowtlb/internal/arch"
 	"shadowtlb/internal/cache"
 	"shadowtlb/internal/check"
@@ -56,43 +57,9 @@ import (
 
 var _ workload.ColStreamer = (*CPU)(nil)
 
-// replaySlots sizes the replay page memo: direct-mapped by virtual page
-// number, large enough to hold the paper workloads' hot page working
-// sets. Purely a simulator acceleration, like the fast-path memo: every
-// use is guarded by the same generation checks.
-const replaySlots = 512
-
-// replayLineWords is the size of a per-page line bitmap: one bit per
-// cache line of a base page.
-const replayLineWords = arch.PageSize / arch.LineSize / 64
-
-// replaySlot caches one page's verified translation chain for the
-// batched replay loop.
-type replaySlot struct {
-	valid  bool
-	lineW  bool       // remembered line was modified (silent-write ok)
-	vbase  uint64     // 4 KB-aligned virtual base
-	entry  *tlb.Entry // installed TLB entry covering vbase
-	paBase arch.PAddr // physical (possibly shadow) base of the page
-	lineB  uint64     // last verified resident line, 0 when none
-	tlbGen uint64     // TLB.Gen() when cached
-	shGen  uint64     // shadow generation when cached
-	eGen   uint64     // CPU.rEpoch when the line bitmaps were started
-	// lines marks page lines verified resident; written marks those
-	// verified modified (stores need no upgrade). A set bit makes
-	// Cache.FastHit on that line a foregone conclusion — one counted
-	// hit, no state change — so the loop defers the count instead.
-	// Freshness: drainEvictions clears the exact victim bits after
-	// every escape, so bitmaps at the current epoch are always exact;
-	// an eGen behind CPU.rEpoch means an eviction-log overflow lost
-	// track and the bitmaps must restart empty.
-	lines   [replayLineWords]uint64
-	written [replayLineWords]uint64
-}
-
 // drainEvictions applies every cache eviction logged since the last
-// drain to the replay memo: each victim line's bit is cleared in the
-// slot holding its page, so slot bitmaps stay exact without any
+// drain to the memo's line bitmaps: each victim line's bit is cleared in
+// the slot holding its page, so slot bitmaps stay exact without any
 // per-adoption synchronization. When the log overflowed (more than
 // cache.EvictLogSize evictions since the last drain, or a flush), the
 // epoch advances and every slot's bitmaps die wholesale. Called
@@ -106,14 +73,10 @@ func (c *CPU) drainEvictions() {
 	var buf [cache.EvictLogSize]uint64
 	if ne, ok := c.Cache.EvictionsSince(c.rDrained, buf[:]); ok {
 		for _, ev := range buf[:ne] {
-			rs := &c.rmemo[(ev>>arch.PageShift)&(replaySlots-1)]
-			if rs.valid && rs.vbase == ev&^uint64(arch.PageMask) && rs.eGen == c.rEpoch {
+			if m := c.slot(ev); m.vbase == ev&^uint64(arch.PageMask) {
 				li := (ev & arch.PageMask) >> arch.LineShift
-				rs.lines[li>>6] &^= 1 << (li & 63)
-				rs.written[li>>6] &^= 1 << (li & 63)
-				if ev == rs.lineB {
-					rs.lineB, rs.lineW = 0, false
-				}
+				m.lines[li>>6] &^= 1 << (li & 63)
+				m.written[li>>6] &^= 1 << (li & 63)
 			}
 		}
 	} else {
@@ -171,9 +134,6 @@ func (c *CPU) replayOne(va arch.VAddr, size int, isStore bool) {
 // streamColsFast is the batched loop. See the package comment for the
 // equivalence argument.
 func (c *CPU) streamColsFast(cols workload.RefCols) {
-	if c.rmemo == nil {
-		c.rmemo = make([]replaySlot, replaySlots)
-	}
 	period := c.cfg.IFetchPeriod
 	lineMask := c.Cache.LineMask()
 	si := c.sinceIFetch
@@ -183,17 +143,17 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	var tlbHits, cacheHits uint64
 	var loads, stores uint64
 
-	// Generations, reloaded after anything that could advance them.
+	// Shadow generation and eviction epoch, reloaded after anything that
+	// could advance them.
 	c.drainEvictions()
-	tlbGen, shGen, cGen := c.TLB.Gen(), c.shadowGen(), c.Cache.Gen()
-	epoch := c.rEpoch
+	shGen, epoch := c.shadowGen(), c.rEpoch
 
 	// Hoisted state of the page the run is currently inside. noPage
-	// forces re-adoption (with live generation checks) after anything
-	// that could invalidate it.
+	// forces re-adoption (with live stamp and generation checks) after
+	// anything that could invalidate it.
 	const noPage = ^uint64(0)
 	curVBase := noPage
-	var rs *replaySlot // replay-memo slot of the current page
+	var rs *memoSlot // memo slot of the current page
 	var entry *tlb.Entry
 	var paBase arch.PAddr
 	var lineB uint64
@@ -220,8 +180,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	resync := func() {
 		si = c.sinceIFetch
 		c.drainEvictions()
-		tlbGen, shGen, cGen = c.TLB.Gen(), c.shadowGen(), c.Cache.Gen()
-		epoch = c.rEpoch
+		shGen, epoch = c.shadowGen(), c.rEpoch
 		curVBase = noPage
 		needTouch = true
 	}
@@ -237,6 +196,30 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 		}
 		resync()
 	}
+	// slowPath runs the full cache path for a reference whose TLB
+	// lookup is already counted, after committing its instruction
+	// (charged before any miss handler, as instr(1) orders it) and every
+	// deferred counter. A nil e is a TLB miss: the handler runs first,
+	// exactly where per-reference execution would run it.
+	slowPath := func(va arch.VAddr, kind arch.AccessKind, pa arch.PAddr, e *tlb.Entry, step uint32) {
+		if kind == arch.Write {
+			stores++
+		} else {
+			loads++
+		}
+		pend++
+		si++
+		flush()
+		c.sinceIFetch = si
+		if e == nil {
+			pa, e = c.translateMissed(va, kind)
+		}
+		c.accessSlow(va, kind, pa, e, true)
+		if step > 0 {
+			c.Step(int(step))
+		}
+		resync()
+	}
 
 	n := len(cols.VPN)
 	runs := cols.Runs
@@ -244,38 +227,29 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 	for i := 0; i < n; i++ {
 		// Retire whole compiled runs as counter arithmetic when the page
 		// memo proves every access in them hits. For each page the run
-		// spans: the replay slot holds the page at the current TLB and
-		// shadow generations, the page's TLB entry already has its NRU
-		// bit set (so every touch the run would do provably early-
-		// returns before any state change), and the run's line bitmaps
-		// are a subset of the slot's verified-resident (and, for stores,
-		// verified-modified) bitmaps. With the run's cycles fitting
-		// before the next instruction fetch, each retired reference is
-		// then exactly a deferred TLB hit plus a deferred cache hit —
-		// what the per-reference path below would have produced one
-		// iteration at a time — and no TLB, cache, or NRU state changes.
+		// spans: the slot holds the page (its TLB entry's stamp and the
+		// shadow generation unchanged), the page's TLB entry already has
+		// its NRU bit set (so every touch the run would do provably
+		// early-returns before any state change), and the run's line
+		// bitmaps are a subset of the slot's verified-resident (and, for
+		// stores, verified-modified) bitmaps at the current epoch. With
+		// the run's cycles fitting before the next instruction fetch,
+		// each retired reference is then exactly a deferred TLB hit plus
+		// a deferred cache hit — what the per-reference path below would
+		// have produced one iteration at a time — and no TLB, cache, or
+		// NRU state changes.
 		if ri < len(runs) && int(runs[ri].Start)-cols.Bit0 == i {
 			r := &runs[ri]
 			ri++
 			if r.Cycles != ^uint32(0) && si+int(r.Cycles) < period {
 				ok := true
-				for k := 0; k < int(r.NPages); k++ {
+				for k := 0; k < int(r.NPages) && ok; k++ {
 					rp := &r.Pages[k]
 					vb := uint64(rp.VPN) << arch.PageShift
-					s := &c.rmemo[uint64(rp.VPN)&(replaySlots-1)]
-					if !s.valid || s.vbase != vb || s.tlbGen != tlbGen ||
-						s.shGen != shGen || s.eGen != epoch || !s.entry.Referenced() {
-						ok = false
-						break
-					}
-					for w := 0; w < replayLineWords; w++ {
-						if rp.Lines[w]&^s.lines[w] != 0 || rp.Written[w]&^s.written[w] != 0 {
-							ok = false
-							break
-						}
-					}
-					if !ok {
-						break
+					s := c.slot(vb)
+					ok = s.holds(vb, shGen) && s.eGen == epoch && s.entry.Referenced()
+					for w := 0; w < lineWords && ok; w++ {
+						ok = rp.Lines[w]&^s.lines[w] == 0 && rp.Written[w]&^s.written[w] == 0
 					}
 				}
 				if ok {
@@ -311,68 +285,29 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 
 		vbase := uint64(va) &^ arch.PageMask
 		if vbase != curVBase {
-			// Adopt the new page: replay memo, then fast-path memo,
-			// then the TLB itself. Every source is guarded by the same
-			// generation checks; whichever holds the page, the
+			// Adopt the new page: the memo, then the TLB itself. Both
+			// are guarded by live checks; whichever holds the page, the
 			// reference's counters come out identical.
-			rs = &c.rmemo[(vbase>>arch.PageShift)&(replaySlots-1)]
-			if rs.valid && rs.vbase == vbase && rs.tlbGen == tlbGen && rs.shGen == shGen {
+			rs = c.slot(vbase)
+			if rs.holds(vbase, shGen) {
 				entry, paBase = rs.entry, rs.paBase
 				if rs.eGen != epoch {
 					// The eviction log overflowed since the bitmaps were
 					// started: they must restart empty.
-					rs.lineB, rs.lineW = 0, false
-					rs.lines = [replayLineWords]uint64{}
-					rs.written = [replayLineWords]uint64{}
+					rs.lines = [lineWords]uint64{}
+					rs.written = [lineWords]uint64{}
 					rs.eGen = epoch
 				}
-				lineB, lineW = rs.lineB, rs.lineW
-			} else if m := &c.memo[(vbase>>arch.PageShift)&(memoSlots-1)]; m.valid &&
-				m.vbase == vbase && m.tlbGen == tlbGen && m.shGen == shGen {
-				entry, paBase = m.entry, m.paBase
-				if m.cacheGen == cGen {
-					lineB, lineW = m.lineBase, m.lineWritable
-				} else {
-					lineB, lineW = 0, false
-				}
-				rs.valid, rs.vbase, rs.entry, rs.paBase = true, vbase, entry, paBase
-				rs.lineB, rs.lineW = lineB, lineW
-				rs.tlbGen, rs.shGen, rs.eGen = tlbGen, shGen, epoch
-				rs.lines = [replayLineWords]uint64{}
-				rs.written = [replayLineWords]uint64{}
-				if lineB != 0 {
-					li := (lineB & arch.PageMask) >> arch.LineShift
-					rs.lines[li>>6] |= 1 << (li & 63)
-					if lineW {
-						rs.written[li>>6] |= 1 << (li & 63)
-					}
-				}
+				lineB, lineW = 0, false
+				curVBase = vbase
+				needTouch = true
 			} else {
 				// Medium path: the TLB may still hold the page. Lookup
 				// is counter-equivalent to the touch the memoized paths
-				// do; on a TLB miss the handler runs exactly where
-				// per-reference execution would run it.
+				// do.
 				e := c.TLB.Lookup(uint64(va))
 				if e == nil {
-					// Real TLB miss. Commit this reference's
-					// instruction (charged before the handler, as
-					// instr(1) orders it) and every deferred counter,
-					// then run the handler and the full cache path.
-					if isStore {
-						stores++
-					} else {
-						loads++
-					}
-					pend++
-					si++
-					flush()
-					c.sinceIFetch = si
-					mpa, me := c.translateMissed(va, kind)
-					c.accessSlow(va, kind, mpa, me, true)
-					if step > 0 {
-						c.Step(int(step))
-					}
-					resync()
+					slowPath(va, kind, 0, nil, step)
 					continue
 				}
 				pa := arch.PAddr(e.Translate(uint64(va)))
@@ -380,42 +315,26 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 				if !hit {
 					// Real cache miss (or a write needing an upgrade):
 					// full cache path, translation already counted.
-					if isStore {
-						stores++
-					} else {
-						loads++
-					}
-					pend++
-					si++
-					flush()
-					c.sinceIFetch = si
-					c.accessSlow(va, kind, pa, e, true)
-					if step > 0 {
-						c.Step(int(step))
-					}
-					resync()
+					slowPath(va, kind, pa, e, step)
 					continue
+				}
+				// The slot needs the real page for the per-reference
+				// path. The full path resolves it at this point of a
+				// cache hit too, and fails the same way.
+				pbase := pa &^ arch.PAddr(arch.PageMask)
+				real, err := c.VM.TranslateData(pbase)
+				if err != nil {
+					panic(fmt.Sprintf("cpu: functional translate of %v: %v", pa, err))
 				}
 				// TLB hit + cache hit: adopt. Lookup already touched
 				// and counted the TLB hit for this reference, FastHit
 				// counted the cache hit; only the instruction and the
 				// load/store count remain.
-				entry = e
+				entry, paBase = e, pbase
 				curVBase = vbase
-				paBase = pa &^ arch.PAddr(arch.PageMask)
 				lineB, lineW = uint64(va)&^lineMask, writable
-				rs.valid, rs.vbase, rs.entry, rs.paBase = true, vbase, entry, paBase
-				rs.lineB, rs.lineW = lineB, lineW
-				rs.tlbGen, rs.shGen, rs.eGen = tlbGen, shGen, epoch
-				rs.lines = [replayLineWords]uint64{}
-				rs.written = [replayLineWords]uint64{}
-				if lineB != 0 {
-					li := (lineB & arch.PageMask) >> arch.LineShift
-					rs.lines[li>>6] |= 1 << (li & 63)
-					if lineW {
-						rs.written[li>>6] |= 1 << (li & 63)
-					}
-				}
+				rs.fill(vbase, e, pbase, real, shGen, epoch)
+				rs.verify(lineB, lineW)
 				needTouch = false
 				pend++
 				si++
@@ -426,8 +345,6 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 				}
 				goto folded
 			}
-			curVBase = vbase
-			needTouch = true
 		}
 
 		{
@@ -438,9 +355,9 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 				cacheHits++
 			} else if li := (uint64(va) & arch.PageMask) >> arch.LineShift; rs.lines[li>>6]>>(li&63)&1 != 0 &&
 				(!isStore || rs.written[li>>6]>>(li&63)&1 != 0) {
-				// Line already verified at this cache generation, in a
-				// state this access cannot change: FastHit would count
-				// one hit and return — defer the count instead.
+				// Line already verified resident, in a state this
+				// access cannot change: FastHit would count one hit and
+				// return — defer the count instead.
 				cacheHits++
 				lineB, lineW = lb, rs.written[li>>6]>>(li&63)&1 != 0
 			} else {
@@ -456,29 +373,12 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 					} else {
 						tlbHits++
 					}
-					if isStore {
-						stores++
-					} else {
-						loads++
-					}
-					pend++
-					si++
-					flush()
-					c.sinceIFetch = si
-					c.accessSlow(va, kind, paBase|off, entry, true)
-					if step > 0 {
-						c.Step(int(step))
-					}
-					resync()
+					slowPath(va, kind, paBase|off, entry, step)
 					continue
 				}
 				// FastHit counted the cache hit itself.
 				lineB, lineW = lb, writable
-				rs.lineB, rs.lineW = lb, writable
-				rs.lines[li>>6] |= 1 << (li & 63)
-				if writable {
-					rs.written[li>>6] |= 1 << (li & 63)
-				}
+				rs.verify(lb, writable)
 			}
 			pend++
 			si++
@@ -507,8 +407,7 @@ func (c *CPU) streamColsFast(cols workload.RefCols) {
 					c.ifetch()
 				}
 				c.drainEvictions()
-				tlbGen, shGen, cGen = c.TLB.Gen(), c.shadowGen(), c.Cache.Gen()
-				epoch = c.rEpoch
+				shGen, epoch = c.shadowGen(), c.rEpoch
 				curVBase = noPage
 				needTouch = true
 			}

@@ -296,10 +296,12 @@ func checkPTableInternal(s *sim.System) []Violation {
 	return vs
 }
 
-// auditMemo audits a CPU's fast-path memo: every entry still valid at
-// the current generations must re-derive to the same translation chain
-// ("cache tags consistent after FlushMemo" — a flush leaves the memo
-// empty, and anything surviving generation checks must still be true).
+// auditMemo audits a CPU's page memo, the slots the batched replay loop
+// filled included: every slot whose TLB entry still carries the
+// recorded stamp at the current shadow generation must re-derive to the
+// same translation chain and cached DRAM page ("cache tags consistent
+// after FlushMemo" — a flush leaves the memo empty, and anything
+// surviving the stamp and generation checks must still be true).
 // The rule parameter names the violation: "cpu.memo" on the
 // uniprocessor, "smp.memo" per multicore CPU.
 func auditMemo(rule string, c *cpu.CPU) []Violation {

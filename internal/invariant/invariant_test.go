@@ -8,6 +8,8 @@ import (
 	"shadowtlb/internal/check"
 	"shadowtlb/internal/core"
 	"shadowtlb/internal/exp"
+	"shadowtlb/internal/mem"
+	"shadowtlb/internal/replay"
 	"shadowtlb/internal/sim"
 	"shadowtlb/internal/tlb"
 )
@@ -108,6 +110,34 @@ func TestCorruptionsDetected(t *testing.T) {
 		s.CPUTLB.Insert(tlb.Entry{Class: arch.Page64K, Tag: base, Target: 0x10_0000})
 		expectRule(t, s, "tlb.overlap")
 	})
+	t.Run("cpu.memo", func(t *testing.T) {
+		s := fresh()
+		// A store caches its page's DRAM storage in the memo; a fresh
+		// DRAM under the VM then leaves that cached page pointing at
+		// storage other than the DRAM page at the slot's real base.
+		va := s.CPU.AllocRegion("memo-probe", arch.PageSize)
+		s.CPU.Store(va, 8, 1)
+		s.VM.Dram = mem.NewDRAM(s.VM.Dram.Size())
+		expectRule(t, s, "cpu.memo")
+	})
+}
+
+// TestReplayedMemoPasses audits the memo a compiled replay leaves
+// behind. The batched replay loop fills slots the per-reference path
+// never sees, and an attached checker's tick hook would switch that
+// loop off, so the audit runs after the replay instead.
+func TestReplayedMemoPasses(t *testing.T) {
+	c := mtlbCell(t)
+	w, err := exp.MakeWorkload(c.Workload, c.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p := replay.Record(c.Cfg, w)
+	s := sim.New(c.Cfg)
+	s.Run(replay.NewEngine(p))
+	if vs := Check(s); len(vs) != 0 {
+		t.Fatalf("replayed run reported violations: %v", vs)
+	}
 }
 
 // smpCell returns a registered multicore cell with an MTLB and more

@@ -20,6 +20,12 @@ const slabFrames = 256
 // indexed by frame number: every simulated reference resolves a frame,
 // so the lookup must be a plain index — and keeping the directory free
 // of pointers means the garbage collector never scans it.
+//
+// Storage never moves once materialized: slabs are never freed or
+// re-sliced (growth appends a new slab and leaves the old ones where
+// they are), and a directory entry, once set, is never reset. A frame's
+// bytes therefore stay at one address for the life of the DRAM, which
+// is what lets Page's callers cache the pointer.
 type DRAM struct {
 	size    uint64   // installed bytes; addresses >= size are not backed
 	dir     []uint32 // frame number -> 1 + slab slot index; 0 = untouched
@@ -70,6 +76,14 @@ func (d *DRAM) frame(p arch.PAddr) []byte {
 	slot := uint64(idx - 1)
 	off := (slot % slabFrames) * arch.PageSize
 	return d.slabs[slot/slabFrames][off : off+arch.PageSize]
+}
+
+// Page returns the storage of the frame containing p, materializing the
+// frame on first touch exactly as a Read or Write of it would. The
+// pointer stays valid, and aliases every later access to the frame, for
+// the life of the DRAM (see the type comment).
+func (d *DRAM) Page(p arch.PAddr) *[arch.PageSize]byte {
+	return (*[arch.PageSize]byte)(d.frame(p))
 }
 
 // Read copies len(buf) bytes starting at physical address p into buf,

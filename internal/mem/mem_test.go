@@ -184,3 +184,77 @@ func TestFrameAllocPAddr(t *testing.T) {
 		t.Error("expected error when exhausted")
 	}
 }
+
+// TestPageStable pins what the CPU's page memo relies on: the pointer
+// Page returns keeps naming the frame's storage after later frames
+// force new slabs, aliases Read and Write, and Page on a materialized
+// frame materializes nothing more.
+func TestPageStable(t *testing.T) {
+	d := NewDRAM(8 * arch.MB)
+	const p = arch.PAddr(5*arch.PageSize + 24)
+	pg := d.Page(p)
+	pg[24] = 0x5A
+	for f := uint64(0); f < 3*slabFrames; f++ {
+		d.WriteU64(arch.PAddr((64+f)*arch.PageSize), f)
+	}
+	if len(d.slabs) < 3 {
+		t.Fatalf("only %d slabs after %d frames: no growth exercised", len(d.slabs), 3*slabFrames)
+	}
+	touched := d.TouchedFrames()
+	if again := d.Page(p); again != pg {
+		t.Fatal("Page moved after slab growth")
+	}
+	if d.TouchedFrames() != touched {
+		t.Fatal("Page of a materialized frame materialized another")
+	}
+	var b [1]byte
+	d.Read(p, b[:])
+	if b[0] != 0x5A {
+		t.Fatalf("Read sees %#x, want the byte stored through Page", b[0])
+	}
+	d.WriteU64(p, 0x1122334455667788)
+	if pg[24] != 0x88 {
+		t.Fatalf("Page sees %#x after WriteU64, want 0x88", pg[24])
+	}
+}
+
+// sink keeps benchmark results live.
+var sink uint64
+
+// benchAddrs returns n word addresses spread over 64 materialized frames
+// of a 64 MB DRAM, as a working set larger than any memo would be.
+func benchAddrs(d *DRAM, n int) []arch.PAddr {
+	addrs := make([]arch.PAddr, n)
+	for i := range addrs {
+		addrs[i] = arch.PAddr(uint64(i%64)*97*arch.PageSize + uint64(i*8)%arch.PageSize)
+		d.WriteU64(addrs[i], uint64(i))
+	}
+	return addrs
+}
+
+func BenchmarkReadU64(b *testing.B) {
+	d := NewDRAM(64 * arch.MB)
+	addrs := benchAddrs(d, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += d.ReadU64(addrs[i&1023])
+	}
+}
+
+func BenchmarkWriteU64(b *testing.B) {
+	d := NewDRAM(64 * arch.MB)
+	addrs := benchAddrs(d, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.WriteU64(addrs[i&1023], uint64(i))
+	}
+}
+
+func BenchmarkPage(b *testing.B) {
+	d := NewDRAM(64 * arch.MB)
+	addrs := benchAddrs(d, 1024)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink += uint64(d.Page(addrs[i&1023])[0])
+	}
+}

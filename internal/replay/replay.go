@@ -222,35 +222,52 @@ func (b *builder) add(rec trace.Record) error {
 const runCycleCap = 32
 
 // finish seals the program, compiles its run summaries and returns it.
+// Runs are built chunk by chunk into one scratch slice reused across
+// chunks, and each chunk keeps an exact-size copy; runIdx gets one
+// entry per ref, so it is sized to the chunk up front.
 func (b *builder) finish() *Program {
 	b.closeRun()
+	var c *chunk
+	var runs []workload.RefRun
+	seal := func() {
+		if c != nil {
+			c.runs = append(make([]workload.RefRun, 0, len(runs)), runs...)
+		}
+		runs = runs[:0]
+	}
 	for _, seg := range b.p.segs {
 		if seg.op != opRefs {
 			continue
 		}
 		for lo := seg.lo; lo < seg.hi; {
-			c := b.p.chunks[lo>>chunkShift]
+			if next := b.p.chunks[lo>>chunkShift]; next != c {
+				seal()
+				c = next
+				c.runIdx = make([]uint32, 0, len(c.vpn))
+			}
 			i := lo & chunkMask
 			span := chunkRefs - i
 			if span > seg.hi-lo {
 				span = seg.hi - lo
 			}
-			buildRuns(c, i, i+span)
+			runs = buildRuns(c, i, i+span, runs)
 			lo += span
 		}
 	}
+	seal()
 	return b.p
 }
 
 // buildRuns compiles run summaries for refs [lo, hi) of c (chunk-
-// relative): maximal stretches spanning at most workload.RunPages
+// relative) and appends them to runs, which holds the runs already
+// compiled for c: maximal stretches spanning at most workload.RunPages
 // distinct pages, split at runCycleCap cycles. A single reference whose
 // folded step alone exceeds the cap gets an unretirable sentinel run so
 // every ref stays covered by exactly one run.
-func buildRuns(c *chunk, lo, hi int) {
+func buildRuns(c *chunk, lo, hi int, runs []workload.RefRun) []workload.RefRun {
 	for j := lo; j < hi; {
-		var r workload.RefRun
-		r.Start = uint32(j)
+		runs = append(runs, workload.RefRun{Start: uint32(j)})
+		r := &runs[len(runs)-1]
 		cyc := uint64(0)
 		for j < hi {
 			stepc := 1 + uint64(c.step[j])
@@ -292,10 +309,10 @@ func buildRuns(c *chunk, lo, hi int) {
 			r.Cycles = uint32(cyc)
 		}
 		for k := uint32(0); k < r.Count; k++ {
-			c.runIdx = append(c.runIdx, uint32(len(c.runs)))
+			c.runIdx = append(c.runIdx, uint32(len(runs)-1))
 		}
-		c.runs = append(c.runs, r)
 	}
+	return runs
 }
 
 // Compile builds a Program from in-memory records.

@@ -99,3 +99,28 @@ func TestMissPathZeroAllocs(t *testing.T) {
 		t.Fatalf("%d TLB misses over 201 iterations: the loop barely exercises the miss path", n)
 	}
 }
+
+// TestPageMemoZeroAllocs extends the contract to the page memo's data
+// path: 4- and 8-byte loads and stores round-robin over 64 pages, more
+// than a handful of memo slots would hold, read and write DRAM through
+// the memoized page storage without allocating.
+func TestPageMemoZeroAllocs(t *testing.T) {
+	const pages = 64
+	s, base := warm(t, sim.Default().WithTLB(64).WithMTLB(core.DefaultMTLBConfig()), pages)
+	i := uint64(0)
+	avg := testing.AllocsPerRun(200, func() {
+		va := base + arch.VAddr(i%pages*arch.PageSize+(i*40)%(arch.PageSize-8))
+		s.CPU.Store(va, 4, i)
+		if got := s.CPU.Load(va, 4); got != i&0xFFFFFFFF {
+			t.Fatalf("Load(%v, 4) = %#x after storing %#x", va, got, i)
+		}
+		s.CPU.Store(va, 8, ^i)
+		if got := s.CPU.Load(va, 8); got != ^i {
+			t.Fatalf("Load(%v, 8) = %#x after storing %#x", va, got, ^i)
+		}
+		i++
+	})
+	if avg != 0 {
+		t.Errorf("page memo loop allocates %.1f objects per iteration, want 0", avg)
+	}
+}

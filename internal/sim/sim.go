@@ -330,7 +330,7 @@ func New(cfg Config) *System {
 		NoFastPath:   cfg.NoFastPath,
 	}, s.VM)
 	// Explicit shootdown hook: OS translation changes drop the CPU's
-	// fast-path memo directly, on top of the generation checks.
+	// fast-path memo directly, on top of the stamp and generation checks.
 	s.VM.OnShootdown = s.CPU.FlushMemo
 	if OnNewSystem != nil {
 		OnNewSystem(s)

@@ -38,10 +38,13 @@ type tlbDiff struct {
 	want *refTLB
 	op   int    // index of the operation being run, for messages
 	last uint64 // previous address, re-used to exercise the last-hit path
+
+	// stamps holds every slot's stamp as of the previous comparison.
+	stamps []uint64
 }
 
 func newTLBDiff(tb testing.TB, cfg Config) *tlbDiff {
-	return &tlbDiff{tb: tb, got: New(cfg), want: newRef(cfg)}
+	return &tlbDiff{tb: tb, got: New(cfg), want: newRef(cfg), stamps: make([]uint64, cfg.Entries)}
 }
 
 // run decodes data into operations and runs them all, comparing after
@@ -49,6 +52,7 @@ func newTLBDiff(tb testing.TB, cfg Config) *tlbDiff {
 func (d *tlbDiff) run(data []byte) {
 	for d.op = 0; (d.op+1)*opBytes <= len(data); d.op++ {
 		b := data[d.op*opBytes : (d.op+1)*opBytes]
+		clear(d.want.written)
 		d.step(b[0], uint64(b[1])|uint64(b[2])<<8, b[3])
 		d.compare()
 	}
@@ -178,7 +182,9 @@ func (d *tlbDiff) samePtr(what string, g, w *Entry) {
 
 // compare checks every observable piece of state, plus the private
 // state the observable behaviour derives from: slot contents with NRU
-// bits, per-set counters, the last-hit slot and the index.
+// bits and stamps, per-set counters, the last-hit slot and the index.
+// It also holds the stamp contract memos rely on: a slot's stamp
+// changes exactly when the operation wrote or purged that slot.
 func (d *tlbDiff) compare() {
 	g, w := d.got, d.want
 	fail := func(format string, args ...any) {
@@ -201,6 +207,13 @@ func (d *tlbDiff) compare() {
 		}
 		if gs.Referenced() != s.Referenced() {
 			fail("slot %d Referenced %v, reference %v", i, gs.Referenced(), s.Referenced())
+		}
+		if changed := gs.Stamp() != d.stamps[i]; changed != w.written[s] {
+			fail("slot %d stamp %d -> %d, but written or purged = %v", i, d.stamps[i], gs.Stamp(), w.written[s])
+		}
+		d.stamps[i] = gs.Stamp()
+		if s.Valid != (gs.Stamp() != 0) || gs.Stamp() > g.Gen() {
+			fail("slot %d (valid %v) has stamp %d at generation %d", i, s.Valid, gs.Stamp(), g.Gen())
 		}
 		if s.Valid {
 			wantValid = append(wantValid, *s)

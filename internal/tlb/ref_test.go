@@ -18,6 +18,11 @@ type refTLB struct {
 	lastHit *Entry
 	Stats   stats.HitMiss
 	gen     uint64
+
+	// written collects the slots Insert wrote or purgeAt cleared since
+	// the differential driver last reset it: exactly the slots whose
+	// stamp may change.
+	written map[*Entry]bool
 }
 
 type refSet struct {
@@ -31,7 +36,7 @@ func newRef(cfg Config) *refTLB {
 	for i := range sets {
 		sets[i].entries = make([]Entry, cfg.Ways)
 	}
-	return &refTLB{cfg: cfg, sets: sets}
+	return &refTLB{cfg: cfg, sets: sets, written: map[*Entry]bool{}}
 }
 
 func (t *refTLB) setFor(addr uint64) *refSet {
@@ -113,6 +118,7 @@ func (t *refTLB) Insert(e Entry) (*Entry, Entry) {
 	e.mask = e.Class.Mask()
 	t.lastHit = nil
 	t.gen++
+	e.stamp = t.gen
 	s := t.setFor(e.Tag)
 	for i := range s.entries {
 		if s.entries[i].covers(e.Tag) {
@@ -121,6 +127,7 @@ func (t *refTLB) Insert(e Entry) (*Entry, Entry) {
 				s.nruSet--
 			}
 			s.entries[i] = e
+			t.written[&s.entries[i]] = true
 			t.touch(s, &s.entries[i])
 			return &s.entries[i], old
 		}
@@ -129,6 +136,7 @@ func (t *refTLB) Insert(e Entry) (*Entry, Entry) {
 		if !s.entries[i].Valid {
 			s.entries[i] = e
 			s.valid++
+			t.written[&s.entries[i]] = true
 			t.touch(s, &s.entries[i])
 			return &s.entries[i], Entry{}
 		}
@@ -153,6 +161,7 @@ func (t *refTLB) Insert(e Entry) (*Entry, Entry) {
 		s.nruSet--
 	}
 	s.entries[victim] = e
+	t.written[&s.entries[victim]] = true
 	t.touch(s, &s.entries[victim])
 	return &s.entries[victim], old
 }
@@ -162,6 +171,7 @@ func (t *refTLB) purgeAt(s *refSet, i int) {
 		s.nruSet--
 	}
 	s.entries[i] = Entry{}
+	t.written[&s.entries[i]] = true
 	s.valid--
 	t.lastHit = nil
 	t.gen++

@@ -44,6 +44,10 @@ type Entry struct {
 
 	nru  bool   // NRU referenced bit
 	mask uint64 // Class.Mask(), precomputed when the entry is installed
+
+	// stamp is the TLB generation at which the mapping was written into
+	// this slot, zero once purged (see Stamp).
+	stamp uint64
 }
 
 // Translate applies the mapping to an address that hits this entry.
@@ -58,6 +62,13 @@ func (e *Entry) Translate(addr uint64) uint64 {
 // any state change), so a batched consumer holding a generation-checked
 // pointer may defer the touch as a pure hit count.
 func (e *Entry) Referenced() bool { return e.nru }
+
+// Stamp identifies the write that put the slot's current mapping in
+// place: insert sets it to the TLB's new generation, unique per write,
+// and a purge zeroes it with the rest of the slot. An external memo
+// that records (slot, Stamp()) therefore holds the same mapping exactly
+// while the slot's stamp is unchanged, whatever other slots do.
+func (e *Entry) Stamp() uint64 { return e.stamp }
 
 // covers reports whether addr falls in this entry's mapped range. It
 // relies on the precomputed offset mask, so it must only be called on
@@ -122,9 +133,9 @@ type TLB struct {
 	idx *index
 
 	// gen counts mapping mutations (Insert, Purge, PurgeAll, PurgeRange).
-	// External memos of TLB contents — the CPU's fast-path translation
-	// memo — record the generation they were built at and die when it
-	// moves, so no mutation path needs to know who is memoizing.
+	// Each insert stamps the slot it writes with the new value (see
+	// Entry.Stamp), so memos of single entries check the stamp and memos
+	// of the whole TLB check gen.
 	gen uint64
 }
 
@@ -191,8 +202,8 @@ func (t *TLB) Gen() uint64 { return t.gen }
 // FastHit replays the bookkeeping of a Lookup hit — the hit counter and
 // NRU referenced-bit maintenance — on an entry the caller already knows
 // covers the address, skipping the search for it. e must be a valid
-// entry of t; the CPU's fast path guarantees this by discarding its memo
-// whenever Gen advances.
+// entry of t; the CPU's fast path guarantees this by using a memoized
+// entry only while its stamp is the one it recorded.
 func (t *TLB) FastHit(e *Entry) {
 	t.Stats.Hit()
 	t.touch(t.setFor(e.Tag), e)
@@ -308,6 +319,7 @@ func (t *TLB) insert(e Entry) (*Entry, Entry) {
 	e.mask = e.Class.Mask()
 	t.lastHit = nil
 	t.gen++
+	e.stamp = t.gen
 	s := t.setFor(e.Tag)
 
 	i := t.slotOf(s, e.Tag)

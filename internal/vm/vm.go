@@ -77,8 +77,8 @@ type VM struct {
 	// OnShootdown, when set, is invoked after any OS operation that
 	// changes an existing virtual→real translation (remap, swap-out,
 	// recolor). The simulator wires it to CPU.FlushMemo so the fast-path
-	// memo is dropped explicitly, in addition to the generation checks
-	// that already make stale use impossible.
+	// memo is dropped explicitly, in addition to the stamp and generation
+	// checks that already make stale use impossible.
 	OnShootdown func()
 
 	// OnOp, when set, fires after each OS mutation completes with the
